@@ -106,7 +106,13 @@ func CompileOpt(f *FSM, ns string, opts Options) (*Machine, error) {
 		}
 		regs := m.regs[name]
 		var carrier railBit
-		for rail, reg := range map[string]*core.Register{"T": regs.T, "F": regs.F} {
+		// A fixed rail order: the fan-out order sets the species and
+		// reaction order of the network, so it must not vary by run.
+		for _, rr := range []struct {
+			rail string
+			reg  *core.Register
+		}{{"T", regs.T}, {"F", regs.F}} {
+			rail, reg := rr.rail, rr.reg
 			if k == 0 {
 				continue // Finalize discards the unused rails
 			}

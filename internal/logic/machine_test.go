@@ -145,6 +145,29 @@ func TestFourBitLFSRMachine(t *testing.T) {
 	checkAgainstGolden(t, f, states, 10)
 }
 
+// TestCompileDeterministic pins that one FSM always compiles to one network:
+// species and reaction order decide a fixed-seed SSA trajectory, so a
+// compile that varies by run makes seeded experiments irreproducible.
+func TestCompileDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 20; i++ {
+		f, err := Counter(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Compile(f, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := m.Circuit.Net.String()
+		if i == 0 {
+			first = text
+		} else if text != first {
+			t.Fatalf("compile %d produced a different network than compile 0", i)
+		}
+	}
+}
+
 func TestCompileRejectsInvalidFSM(t *testing.T) {
 	f := NewFSM()
 	if err := f.AddBit("a", false, Var("ghost")); err != nil {

@@ -1,7 +1,7 @@
-// Package ode provides explicit ordinary-differential-equation integrators:
-// an adaptive Dormand–Prince 5(4) method (the workhorse for mass-action
-// simulation in package sim) and a fixed-step classical RK4 used for
-// cross-checks. The package is generic — it knows nothing about chemistry.
+// Package ode provides ordinary-differential-equation integrators: an
+// adaptive Dormand–Prince 5(4) method (the workhorse for mass-action
+// simulation in package sim) and a Rosenbrock-W method with a sparse LU for
+// stiff systems. The package is generic — it knows nothing about chemistry.
 package ode
 
 import (
@@ -315,50 +315,4 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 	}
 	st.T = t
 	return st, nil
-}
-
-// RK4 advances y0 from t0 to t1 with the classical fixed-step fourth-order
-// Runge–Kutta method using nsteps equal steps, calling cb (if non-nil)
-// after every step. It exists for convergence cross-checks against the
-// adaptive integrator.
-func RK4(f Func, y0 []float64, t0, t1 float64, nsteps int, cb Observer) error {
-	if nsteps <= 0 {
-		return fmt.Errorf("ode: RK4 needs positive step count, got %d", nsteps)
-	}
-	if t1 < t0 {
-		return fmt.Errorf("ode: t1 (%g) < t0 (%g)", t1, t0)
-	}
-	n := len(y0)
-	h := (t1 - t0) / float64(nsteps)
-	k1 := make([]float64, n)
-	k2 := make([]float64, n)
-	k3 := make([]float64, n)
-	k4 := make([]float64, n)
-	ytmp := make([]float64, n)
-	t := t0
-	for s := 0; s < nsteps; s++ {
-		f(t, y0, k1)
-		for i := 0; i < n; i++ {
-			ytmp[i] = y0[i] + 0.5*h*k1[i]
-		}
-		f(t+0.5*h, ytmp, k2)
-		for i := 0; i < n; i++ {
-			ytmp[i] = y0[i] + 0.5*h*k2[i]
-		}
-		f(t+0.5*h, ytmp, k3)
-		for i := 0; i < n; i++ {
-			ytmp[i] = y0[i] + h*k3[i]
-		}
-		f(t+h, ytmp, k4)
-		for i := 0; i < n; i++ {
-			y0[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-		}
-		t = t0 + float64(s+1)*h
-		if cb != nil {
-			if _, stop := cb(t, y0); stop {
-				return nil
-			}
-		}
-	}
-	return nil
 }

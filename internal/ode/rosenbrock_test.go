@@ -285,3 +285,57 @@ func TestSparseLUSolveAliasing(t *testing.T) {
 		t.Fatalf("aliased solve %v != separate solve %v", b2, x)
 	}
 }
+
+// TestSparseLUOrderingArrowhead pins the fill-reducing order. An arrowhead
+// (dense first row and column plus the diagonal) fills completely, n²
+// entries, when the hub is eliminated first; eliminated last, L+U keep just
+// the arrow, under 3n.
+func TestSparseLUOrderingArrowhead(t *testing.T) {
+	const n = 64
+	colPtr := []int32{0}
+	var rowIdx []int32
+	for p := 0; p < n; p++ {
+		if p == 0 {
+			for r := 0; r < n; r++ {
+				rowIdx = append(rowIdx, int32(r))
+			}
+		} else {
+			rowIdx = append(rowIdx, 0, int32(p))
+		}
+		colPtr = append(colPtr, int32(len(rowIdx)))
+	}
+	rng := rand.New(rand.NewSource(5))
+	jnz := make([]float64, len(rowIdx))
+	for i := range jnz {
+		jnz[i] = rng.NormFloat64()
+	}
+	const hd = 0.01
+	lu := newSparseLU(n, colPtr, rowIdx)
+	if got := lu.nnzLU(); got > 3*n {
+		t.Fatalf("nnz(L+U) = %d on the n=%d arrowhead, want ≤ %d", got, n, 3*n)
+	}
+	lu.setShifted(hd, jnz)
+	if err := lu.factor(); err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	x := make([]float64, n)
+	lu.solve(b, x)
+
+	// Residual against the dense product M·x, M = I − hd·J.
+	mx := make([]float64, n)
+	copy(mx, x)
+	for p := 0; p < n; p++ {
+		for e := colPtr[p]; e < colPtr[p+1]; e++ {
+			mx[rowIdx[e]] -= hd * jnz[e] * x[p]
+		}
+	}
+	for r := range b {
+		if math.Abs(mx[r]-b[r]) > 1e-9*(1+math.Abs(b[r])) {
+			t.Fatalf("residual row %d: M·x = %g, b = %g", r, mx[r], b[r])
+		}
+	}
+}

@@ -102,6 +102,13 @@ go test -run=NONE -bench 'EnsembleRing|SSARingSweepPerRun' -benchtime=1x -timeou
 # Stiff-solver bench smoke: one iteration of the BENCH_PR10.json gate set
 # (explicit vs stiff vs auto on the 458-reaction ring at fast/slow = 30000).
 go test -run=NONE -bench 'ODERing' -benchtime=1x -timeout 10m .
+# Benchmark self-test: minimal traced and untraced runs of both perfbench
+# workloads. It fails when a stiff final drifts from the movavg2 reference,
+# when auto and stiff disagree on the ring, or when the printed metric names
+# no longer match BENCHMARK.json. Same environment perfbench/run.sh sets: no
+# toolchain download, no module proxy, no workspace.
+(cd perfbench && GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod GOWORK=off \
+    go test -timeout 20m .)
 
 # The rate-law, derivative and Jacobian hot paths raise concentrations by
 # binary exponentiation (kernel.PowInt); a math.Pow call creeping into the
