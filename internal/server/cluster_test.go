@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 // coordinatorWith builds a coordinator server plus n worker nodes on real
@@ -47,17 +49,52 @@ func submitAndWait(t *testing.T, s *Server, req JobRequest) JobStatus {
 	return pollJob(t, s.Handler(), decode[JobStatus](t, rec).ID)
 }
 
+// submitWatchingProgress runs one job to a terminal state while subscribed
+// to the server's event broker, and requires exactly one job_progress event
+// per point, each carrying its point index, a distinct done count and the
+// total — the same payload whichever topology ran the sweep.
+func submitWatchingProgress(t *testing.T, s *Server, req JobRequest) JobStatus {
+	t.Helper()
+	sub := s.broker.Subscribe(0, func(ev obs.StreamEvent) bool { return ev.Kind == "job_progress" })
+	defer sub.Close()
+	st := submitAndWait(t, s, req)
+	// Every job_progress event is published before the job goes terminal.
+	indexes, dones := map[int]bool{}, map[int]bool{}
+	for len(sub.C) > 0 {
+		ev := <-sub.C
+		if ev.Job != st.ID {
+			continue
+		}
+		index, okIndex := ev.Data["index"].(int)
+		done, okDone := ev.Data["done"].(int)
+		total, okTotal := ev.Data["total"].(int)
+		if !okIndex || !okDone || !okTotal || total != st.Total ||
+			index < 0 || index >= total || done < 1 || done > total {
+			t.Fatalf("job_progress payload %v for a %d-point job", ev.Data, st.Total)
+		}
+		if indexes[index] || dones[done] {
+			t.Fatalf("repeated job_progress index %d or done %d", index, done)
+		}
+		indexes[index], dones[done] = true, true
+	}
+	if len(indexes) != st.Total || sub.Dropped() != 0 {
+		t.Fatalf("%d job_progress events (%d dropped) for %d points", len(indexes), sub.Dropped(), st.Total)
+	}
+	return st
+}
+
 // TestClusterGoldenBitIdentical is the acceptance proof of the deterministic
 // sharding contract: the same sweep executed single-node, on a 1-worker
 // cluster, on a 3-worker cluster, and on a 3-worker cluster where one worker
-// dies after its first partition, produces byte-identical results.
+// dies after its first partition, produces byte-identical results and the
+// same one-event-per-point job_progress stream.
 func TestClusterGoldenBitIdentical(t *testing.T) {
 	req := JobRequest{
 		CRN: clockText(t), TEnd: 60, Fast: 300, Slow: 1,
 		Method: "ssa", Seed: 42, Runs: 4, Ratios: []float64{100, 300, 600},
 	} // 12 points with a live ratio axis: the fast rate genuinely differs per ratio
 
-	single := submitAndWait(t, New(Config{}), req)
+	single := submitWatchingProgress(t, New(Config{}), req)
 	if single.State != "done" {
 		t.Fatalf("single-node job ended %q: %s", single.State, single.Error)
 	}
@@ -69,7 +106,7 @@ func TestClusterGoldenBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 			coord, _ := coordinatorWith(t, n, Config{}, cluster.Options{})
-			st := submitAndWait(t, coord, req)
+			st := submitWatchingProgress(t, coord, req)
 			if st.State != "done" || st.Completed != single.Completed || st.Failed != single.Failed {
 				t.Fatalf("cluster job: state=%q completed=%d failed=%d, single-node: %q/%d/%d",
 					st.State, st.Completed, st.Failed, single.State, single.Completed, single.Failed)
@@ -109,7 +146,7 @@ func TestClusterGoldenBitIdentical(t *testing.T) {
 		t.Cleanup(srv.Close)
 		coord.Coordinator().Join(cluster.JoinRequest{ID: "w2-dying", Addr: srv.URL})
 
-		st := submitAndWait(t, coord, req)
+		st := submitWatchingProgress(t, coord, req)
 		if st.State != "done" {
 			t.Fatalf("job with dying worker ended %q: %s", st.State, st.Error)
 		}
@@ -320,4 +357,44 @@ func TestStatuszClusterPanel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	pollJob(t, slow.Handler(), id)
+}
+
+// TestPartitionValidation: /cluster/v1/partition validates its untrusted
+// request with the same checks as job admission before executing a window,
+// including a replicate count whose product with the ratio count overflows.
+func TestPartitionValidation(t *testing.T) {
+	s := New(Config{Limits: Limits{MaxSweepPoints: 4}})
+	sweep := cluster.Sweep{CRN: "init X = 1\nX -> Y : slow", TEnd: 2, Method: "ssa", Seed: 3, Runs: 2, Ratios: []float64{2, 3}}
+	overflow := sweep
+	overflow.Runs = math.MaxInt/2 + 1 // runs × 2 ratios wraps negative
+	below := sweep
+	below.Ratios = []float64{0.5}
+	cases := []struct {
+		name   string
+		req    cluster.PartitionRequest
+		status int
+		code   string
+	}{
+		{"ok", cluster.PartitionRequest{Lo: 1, Hi: 3, Sweep: sweep}, 200, ""},
+		{"sweep overflows", cluster.PartitionRequest{Lo: 0, Hi: 1, Sweep: overflow}, 422, CodeLimitExceeded},
+		{"ratio below one", cluster.PartitionRequest{Lo: 0, Hi: 1, Sweep: below}, 400, CodeInvalidRequest},
+		{"bad window", cluster.PartitionRequest{Lo: 2, Hi: 5, Sweep: sweep}, 400, CodeInvalidRequest},
+	}
+	for _, c := range cases {
+		rec := do(t, s.Handler(), "POST", "/cluster/v1/partition", c.req)
+		if rec.Code != c.status {
+			t.Errorf("%s: status %d, want %d (%s)", c.name, rec.Code, c.status, rec.Body.String())
+			continue
+		}
+		if c.code != "" {
+			if got := decode[errorBody](t, rec).Error.Code; got != c.code {
+				t.Errorf("%s: code %q, want %q", c.name, got, c.code)
+			}
+			continue
+		}
+		outs := decode[cluster.PartitionResponse](t, rec).Outcomes
+		if len(outs) != 2 || outs[0].Index != 1 || outs[1].Index != 2 || outs[0].Err != "" || len(outs[1].Final) != 2 {
+			t.Errorf("%s: outcomes %+v, want points 1 and 2 with finals", c.name, outs)
+		}
+	}
 }

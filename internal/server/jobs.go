@@ -9,16 +9,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // JobRequest is the body of POST /v1/jobs: a parameter sweep of one CRN,
-// executed through the multi-run engine (sim.RunMany). The sweep is the
+// carried as a cluster.Sweep and executed by the server's one partition
+// executor (runPartition, over sim.RunMany) — on this node for the whole
+// sweep, or chunk by chunk on cluster workers when the node coordinates a
+// cluster. Every topology produces the same bits. The sweep is the
 // cross product of Ratios (fast/slow rate ratios; empty means the single
 // Fast/Slow pair) and Runs replicates (default 1), each replicate receiving
 // a deterministic seed derived from Seed — the whole sweep is reproducible
@@ -117,9 +118,9 @@ type JobStatus struct {
 	Results   []PointResult `json:"results,omitempty"`
 }
 
-// jobRun tracks one asynchronously launched RunMany: live per-point progress
+// jobRun tracks one asynchronously launched sweep: live per-point progress
 // from atomic counters, cooperative cancellation, and the final error once
-// the engine drains. It is the server-side analogue of batch.Handle, with
+// the executor drains. It is the server-side analogue of batch.Handle, with
 // point (not work-item) granularity — a laned ensemble block reports each of
 // its lanes as it retires.
 type jobRun struct {
@@ -226,21 +227,22 @@ func (st *jobStore) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// submit validates the sweep, launches it through sim.RunMany and registers
-// the job. parent, when non-nil, is the submitting request's span: the job
-// runs under a child span of it, so the trace of the POST shows the whole
-// asynchronous fan-out — per-work-item batch.job spans for scalar points,
-// sim.ensemble block spans for laned ones.
+// submit validates the sweep, launches it and registers the job. Jobs run
+// through runPartition over the whole sweep, or — when cluster workers are
+// alive and the job is unwatched — through the coordinator, which shards the
+// same sweep across workers. parent, when non-nil, is the submitting
+// request's span: the job runs under a child span of it, so the trace of the
+// POST shows the whole asynchronous fan-out — per-work-item batch.job spans
+// for scalar points, sim.ensemble block spans for laned ones.
 func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	s := st.s
-	if req.CRN == "" {
-		return nil, errf(http.StatusBadRequest, CodeInvalidRequest, "crn is required")
+	sw := &cluster.Sweep{
+		CRN: req.CRN, Method: req.Method, TEnd: req.TEnd,
+		SampleEvery: req.SampleEvery, Fast: req.Fast, Slow: req.Slow,
+		Unit: req.Unit, Seed: req.Seed, Runs: req.Runs, Ratios: req.Ratios,
+		Record: req.Record, TimeoutSeconds: req.TimeoutSeconds,
 	}
-	method, err := sim.ParseMethod(req.Method)
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, CodeInvalidRequest, "%v", err)
-	}
-	net, err := s.loadNetwork(req.CRN)
+	net, baseCfg, err := s.checkSweep(sw)
 	if err != nil {
 		return nil, err
 	}
@@ -250,56 +252,16 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 			return nil, errf(http.StatusBadRequest, CodeInvalidRequest, "clock_health: %v", err)
 		}
 	}
-	for _, name := range req.Record {
-		if _, ok := net.SpeciesIndex(name); !ok {
-			return nil, errf(http.StatusBadRequest, CodeInvalidRequest,
-				"record species %q not in the network", name)
-		}
-	}
-	runs := req.Runs
-	if runs <= 0 {
-		runs = 1
-	}
-	points := runs
-	if len(req.Ratios) > 0 {
-		points = runs * len(req.Ratios)
-		for _, ratio := range req.Ratios {
-			if ratio < 1 {
-				return nil, errf(http.StatusBadRequest, CodeInvalidRequest,
-					"ratio %g below 1 inverts the fast/slow dichotomy", ratio)
-			}
-		}
-	}
-	if limit := s.cfg.Limits.MaxSweepPoints; points > limit {
-		return nil, errf(http.StatusUnprocessableEntity, CodeLimitExceeded,
-			"sweep has %d points, limit is %d", points, limit)
-	}
-	base := SimulateRequest{
-		Method: req.Method, TEnd: req.TEnd, SampleEvery: req.SampleEvery,
-		Fast: req.Fast, Slow: req.Slow, Unit: req.Unit,
-	}
-	baseCfg := base.simConfig(method, sim.SolverAuto)
-	baseCfg.Seed = req.Seed
-	if err := baseCfg.Validate(); err != nil {
-		return nil, configError(err)
-	}
-	baseRates := baseCfg.Rates
+	points := sw.Points()
 
 	j := &job{created: time.Now(), total: points}
 	j.results = make([]PointResult, points)
-	pointSeed := func(i int) int64 { return batch.DeriveSeed(req.Seed, i) }
-	pointRatio := func(i int) float64 {
-		if len(req.Ratios) == 0 {
-			return 0
-		}
-		return req.Ratios[i/runs]
-	}
 	for i := range j.results {
 		// Prefill identity and a "skipped" marker: points that never start
 		// because the job is canceled keep an explanatory entry, and points
 		// that do run overwrite it.
 		j.results[i] = PointResult{
-			Index: i, Ratio: pointRatio(i), Seed: pointSeed(i),
+			Index: i, Ratio: sw.Ratio(i), Seed: sw.PointSeed(i),
 			Err: "skipped: job ended before this point started",
 		}
 	}
@@ -326,7 +288,7 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 	jobSpan := parent.Child("job " + j.id)
 	jobSpan.SetAttr("job.id", j.id)
 	jobSpan.SetAttr("job.points", points)
-	jobSpan.SetAttr("job.method", method.String())
+	jobSpan.SetAttr("job.method", baseCfg.Method.String())
 	parent.SetAttr("job.id", j.id)
 
 	pendingG := s.reg.Gauge("server_job_points_pending")
@@ -351,78 +313,51 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 		}
 	}
 
-	watched := req.Watch || req.ClockHealth != nil
-	bc := sim.BatchConfig{
-		Base:       baseCfg,
-		Runs:       points,
-		Workers:    s.cfg.Workers,
-		FinalsOnly: true,
-		Metrics:    s.reg,
-		JobTimeout: s.deadline(req.TimeoutSeconds),
-		Gate: func(ctx context.Context) (func(), error) {
-			if _, err := s.acquireSim(ctx); err != nil {
-				return nil, err
-			}
-			markStarted()
-			return s.releaseSim, nil
-		},
-		Configure: func(i int, cfg *sim.Config) {
-			if ratio := pointRatio(i); ratio > 0 {
-				cfg.Rates = sim.Rates{Fast: baseRates.Slow * ratio, Slow: baseRates.Slow}
-			}
-			if watched {
-				// Watchers carry per-run state and their events feed the SSE
-				// broker; both force the point onto the scalar backends.
-				cfg.Obs = &obs.BrokerObserver{B: s.broker, Job: j.id}
-				if req.Watch {
-					cfg.Watchers = sim.AutoWatchers(net)
-				}
-				if req.ClockHealth != nil {
-					cfg.Watchers = append(cfg.Watchers, req.ClockHealth.watcher())
-				}
-			}
-		},
-	}
-
 	runCtx, cancel := context.WithCancelCause(span.NewContext(context.Background(), jobSpan))
 	run := &jobRun{total: points, cancel: cancel, done: make(chan struct{})}
 	j.run = run
 
-	// Per-point progress: the engine reports each point as it completes —
-	// lanes of an ensemble block retire individually, so progress stays
-	// point-granular even on the SoA fast path. Finals are projected from
-	// the ensemble after the drain; only identity and errors are recorded
-	// here.
-	bc.OnResult = func(i int, _ *trace.Trace, err error) {
-		if err != nil && context.Cause(runCtx) != nil &&
-			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			// The job was canceled while this point waited for its slot: it
-			// never ran, so it keeps the prefilled "skipped" marker instead
-			// of counting as a failure.
-			j.pending.Add(-1)
+	// deliver records finished points — one at a time from the local
+	// executor (lanes of an ensemble block retire individually), a chunk at
+	// a time from the coordinator — with one job_progress event per point.
+	// The local executor may call it from several workers at once; points
+	// land at disjoint indexes and every counter is atomic.
+	deliver := func(outs []cluster.Outcome) {
+		for _, o := range outs {
+			pr := &j.results[o.Index]
+			pr.Final, pr.Err = o.Final, o.Err
+			if o.Err != "" {
+				run.failed.Add(1)
+			} else {
+				run.completed.Add(1)
+			}
+			left := j.pending.Add(-1)
 			pendingG.Add(-1)
-			return
+			s.broker.Publish(obs.StreamEvent{Kind: "job_progress", Job: j.id, Data: map[string]any{
+				"index": o.Index, "done": j.total - int(left), "total": j.total,
+			}})
 		}
-		pr := PointResult{Index: i, Ratio: pointRatio(i), Seed: pointSeed(i)}
-		if err != nil {
-			pr.Err = err.Error()
-			run.failed.Add(1)
-		} else {
-			run.completed.Add(1)
-		}
-		j.results[i] = pr
-		j.pending.Add(-1)
-		pendingG.Add(-1)
-		s.broker.Publish(obs.StreamEvent{Kind: "job_progress", Job: j.id, Data: map[string]any{
-			"index": i, "done": j.total - int(j.pending.Load()), "total": j.total,
-		}})
 	}
 
-	// finish settles the job whichever engine ran it: gauge bookkeeping
-	// (a job canceled while still queued releases the queued gauge and goes
-	// terminal like any other), state resolution, span closure, the terminal
-	// SSE event, and retention.
+	// finish settles the job whichever topology ran it: the first-error rule
+	// (the cancellation cause, else the executor's error, else the first
+	// failed point), gauge bookkeeping (a job canceled while still queued
+	// releases the queued gauge and goes terminal like any other), state
+	// resolution, span closure, closing done, the terminal SSE event, and
+	// retention.
 	finish := func(ferr error) {
+		if cause := context.Cause(runCtx); cause != nil {
+			ferr = cause
+		}
+		if ferr == nil {
+			for i := range j.results {
+				if e := j.results[i].Err; e != "" {
+					ferr = fmt.Errorf("run %d: %s", i, e)
+					break
+				}
+			}
+		}
+		cancel(nil)
 		run.err = ferr
 		j.finished.Store(true)
 		if leftover := j.pending.Swap(0); leftover > 0 {
@@ -454,6 +389,9 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 			jobSpan.SetError(ferr)
 		}
 		jobSpan.End()
+		// done closes before job_done is published, so a client reacting to
+		// job_done always reads a terminal status that carries the results.
+		close(run.done)
 		s.broker.Publish(obs.StreamEvent{Kind: "job_done", Job: j.id, Data: map[string]any{
 			"state": state, "completed": completed,
 			"failed": failed, "total": j.total,
@@ -461,85 +399,36 @@ func (st *jobStore) submit(req *JobRequest, parent *span.Span) (*job, error) {
 		st.retire()
 	}
 
-	if s.coord != nil && !watched && s.coord.AliveCount() > 0 {
-		// Cluster path: the coordinator shards the sweep into partitions and
-		// dispatches them to workers; outcomes merge back by global index, so
-		// the results are bit-identical to the local path below (watched jobs
-		// always run locally — their observers hold per-process state).
-		sw := &cluster.Sweep{
-			CRN: req.CRN, Method: req.Method, TEnd: req.TEnd,
-			SampleEvery: req.SampleEvery, Fast: req.Fast, Slow: req.Slow,
-			Unit: req.Unit, Seed: req.Seed, Runs: runs, Ratios: req.Ratios,
-			Record: req.Record, TimeoutSeconds: req.TimeoutSeconds,
-		}
+	// Watched jobs always run locally: their observers hold per-process
+	// state that cannot ship to a worker.
+	watched := req.Watch || req.ClockHealth != nil
+	clustered := s.coord != nil && !watched && s.coord.AliveCount() > 0
+	if clustered {
 		jobSpan.SetAttr("job.cluster", true)
-		deliver := func(outs []cluster.Outcome) {
-			for _, o := range outs {
-				pr := PointResult{Index: o.Index, Ratio: pointRatio(o.Index),
-					Seed: pointSeed(o.Index), Final: o.Final}
-				if o.Err != "" {
-					pr.Err = o.Err
-					run.failed.Add(1)
-				} else {
-					run.completed.Add(1)
-				}
-				j.results[o.Index] = pr
-				j.pending.Add(-1)
-				pendingG.Add(-1)
-			}
-			s.broker.Publish(obs.StreamEvent{Kind: "job_progress", Job: j.id, Data: map[string]any{
-				"done": j.total - int(j.pending.Load()), "total": j.total,
-			}})
-		}
-		go func() {
-			defer close(run.done)
-			ferr := s.coord.Run(runCtx, j.id, sw, deliver, markStarted)
-			cancel(nil)
-			if ferr == nil {
-				// Mirror the single-node job error: the first failed point.
-				for i := range j.results {
-					if j.results[i].Err != "" {
-						ferr = fmt.Errorf("run %d: %s", i, j.results[i].Err)
-						break
-					}
-				}
-			}
-			finish(ferr)
-		}()
-	} else {
-		go func() {
-			defer close(run.done)
-			ens, runErr := sim.RunMany(runCtx, net, bc)
-			cancel(nil)
-
-			// Project finals for the points that succeeded; failed and skipped
-			// points keep the error text already in their slots.
-			for i := range j.results {
-				if ens == nil || ens.Errs[i] != nil || ens.Finals[i] == nil {
-					continue
-				}
-				final := make(map[string]float64, len(req.Record))
-				if len(req.Record) > 0 {
-					for _, name := range req.Record {
-						if col, ok := ens.Index(name); ok {
-							final[name] = ens.Finals[i][col]
-						}
-					}
-				} else {
-					for col, name := range ens.Names {
-						final[name] = ens.Finals[i][col]
-					}
-				}
-				j.results[i].Final = final
-			}
-
-			ferr := runErr
-			if ferr == nil && ens != nil {
-				ferr = ens.Err()
-			}
-			finish(ferr)
-		}()
 	}
+	hooks := jobHooks{started: markStarted, deliver: deliver}
+	if watched {
+		hooks.configure = func(cfg *sim.Config) {
+			// Watchers carry per-run state and their events feed the SSE
+			// broker; both force the point onto the scalar backends.
+			cfg.Obs = &obs.BrokerObserver{B: s.broker, Job: j.id}
+			if req.Watch {
+				cfg.Watchers = sim.AutoWatchers(net)
+			}
+			if req.ClockHealth != nil {
+				cfg.Watchers = append(cfg.Watchers, req.ClockHealth.watcher())
+			}
+		}
+	}
+	go func() {
+		var err error
+		if clustered {
+			err = s.coord.Run(runCtx, j.id, sw, deliver, markStarted)
+		} else {
+			_, err = s.runPartition(runCtx, sw, 0, points, s.reg, hooks)
+		}
+		finish(err)
+	}()
 
 	st.mu.Lock()
 	st.jobs[j.id] = j

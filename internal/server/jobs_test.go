@@ -2,10 +2,13 @@ package server
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // quickJob is a sweep that finishes in milliseconds.
@@ -149,6 +152,66 @@ func TestJobCancel(t *testing.T) {
 	if rec.Code != 200 || decode[JobStatus](t, rec).State != "canceled" {
 		t.Fatalf("repeat cancel: status %d body %s", rec.Code, rec.Body.String())
 	}
+
+	// Canceled mid-run, a job keeps the finals of the points that completed
+	// before the cancel: two simulation slots work through 64 short ODE
+	// points (~25ms each), and the cancel lands once two have finished.
+	midRun := slowSweep(t)
+	midRun.Runs = 64
+	rec = do(t, s.Handler(), "POST", "/v1/jobs", midRun)
+	if rec.Code != 202 {
+		t.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
+	}
+	id = decode[JobStatus](t, rec).ID
+	deadline := time.Now().Add(30 * time.Second)
+	for decode[JobStatus](t, do(t, s.Handler(), "GET", "/v1/jobs/"+id, nil)).Completed < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no two points of the mid-run job completed within 30s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	do(t, s.Handler(), "DELETE", "/v1/jobs/"+id, nil)
+	st = pollJob(t, s.Handler(), id)
+	if st.State != "canceled" || st.Completed < 2 || st.Completed == st.Total {
+		t.Fatalf("mid-run cancel: state %q, %d of %d points completed", st.State, st.Completed, st.Total)
+	}
+	withFinals := 0
+	for _, p := range st.Results {
+		if p.Err == "" && len(p.Final) == 0 {
+			t.Fatalf("point %d completed without finals", p.Index)
+		}
+		if len(p.Final) > 0 {
+			withFinals++
+		}
+	}
+	if withFinals != st.Completed {
+		t.Fatalf("%d points report finals, %d completed", withFinals, st.Completed)
+	}
+}
+
+// TestJobResultsAtJobDone: a client that reacts to a job's job_done event
+// reads a terminal status carrying every result — the status settles before
+// the event is published, not after.
+func TestJobResultsAtJobDone(t *testing.T) {
+	s := New(Config{})
+	sub := s.broker.Subscribe(0, func(ev obs.StreamEvent) bool { return ev.Kind == "job_done" })
+	defer sub.Close()
+	for i := 0; i < 20; i++ {
+		rec := do(t, s.Handler(), "POST", "/v1/jobs", quickJob())
+		if rec.Code != 202 {
+			t.Fatalf("submit status %d: %s", rec.Code, rec.Body.String())
+		}
+		id := decode[JobStatus](t, rec).ID
+		for ev := range sub.C {
+			if ev.Job == id {
+				break
+			}
+		}
+		st := decode[JobStatus](t, do(t, s.Handler(), "GET", "/v1/jobs/"+id, nil))
+		if !st.terminal() || len(st.Results) != st.Total {
+			t.Fatalf("status at job_done: state %q, %d of %d results", st.State, len(st.Results), st.Total)
+		}
+	}
 }
 
 // TestJobValidation: the submit-side error surface.
@@ -164,6 +227,7 @@ func TestJobValidation(t *testing.T) {
 		{"bad crn", JobRequest{CRN: "X ->", TEnd: 5}, 400, CodeInvalidRequest},
 		{"ratio below one", JobRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Ratios: []float64{0.5}}, 400, CodeInvalidRequest},
 		{"sweep too large", JobRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Runs: 5}, 422, CodeLimitExceeded},
+		{"sweep overflows", JobRequest{CRN: "init X = 1\nX -> Y : slow", TEnd: 5, Runs: math.MaxInt/2 + 1, Ratios: []float64{2, 3}}, 422, CodeLimitExceeded},
 	}
 	for _, c := range cases {
 		rec := do(t, s.Handler(), "POST", "/v1/jobs", c.req)

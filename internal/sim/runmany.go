@@ -64,9 +64,11 @@ type BatchConfig struct {
 	FinalsOnly bool
 
 	// OnResult, when non-nil, is called once per run as it completes, with
-	// the run's trace (nil in finals-only mode or on error). When Workers
-	// fans runs out, calls may come from worker goroutines concurrently.
-	OnResult func(i int, tr *trace.Trace, err error)
+	// the run's trace (nil in finals-only mode or on error) and its final
+	// state in species order — the very slice stored as Ensemble.Finals[i]
+	// (nil on error), which the callee must not modify. When Workers fans
+	// runs out, calls may come from worker goroutines concurrently.
+	OnResult func(i int, tr *trace.Trace, finals []float64, err error)
 
 	// Gate, when non-nil, is acquired around each unit of simulation work
 	// (one SoA block or one scalar run) — the server wraps its global sim
@@ -198,7 +200,7 @@ func RunMany(ctx context.Context, n *crn.Network, bc BatchConfig) (*trace.Ensemb
 			if bc.FinalsOnly {
 				tr = nil
 			}
-			bc.OnResult(i, tr, err)
+			bc.OnResult(i, tr, finals, err)
 		}
 	}
 

@@ -219,10 +219,11 @@ func TestRunManyScalarFallback(t *testing.T) {
 	// the observer attached.
 	var col countingObserver
 	calls := 0
+	got := map[int][]float64{}
 	ens, err = RunMany(context.Background(), n, BatchConfig{
 		Base: Config{Method: SSA, Rates: Rates{Fast: 50, Slow: 1}, TEnd: 2, Unit: 20, Obs: &col},
 		Runs: 2,
-		OnResult: func(i int, tr *trace.Trace, err error) {
+		OnResult: func(i int, tr *trace.Trace, finals []float64, err error) {
 			calls++
 			if err != nil {
 				t.Errorf("run %d: %v", i, err)
@@ -230,6 +231,7 @@ func TestRunManyScalarFallback(t *testing.T) {
 			if tr == nil {
 				t.Errorf("run %d: nil trace", i)
 			}
+			got[i] = finals
 		},
 	})
 	if err != nil {
@@ -243,6 +245,49 @@ func TestRunManyScalarFallback(t *testing.T) {
 	}
 	if col.starts != 2 || col.ends != 2 {
 		t.Fatalf("observer saw %d starts / %d ends, want 2/2", col.starts, col.ends)
+	}
+	finalsBitEqual(t, "scalar OnResult", ens, got)
+
+	// The laned path hands OnResult each lane's finals row the same way.
+	var stats kernel.Stats
+	got = map[int][]float64{}
+	ens, err = RunMany(context.Background(), n, BatchConfig{
+		Base:       Config{Method: SSA, Rates: Rates{Fast: 50, Slow: 1}, TEnd: 2, Unit: 20, Kernel: &stats},
+		Runs:       6,
+		Lanes:      4,
+		FinalsOnly: true,
+		OnResult: func(i int, tr *trace.Trace, finals []float64, err error) {
+			if err != nil || tr != nil {
+				t.Errorf("run %d: err %v, trace %v in finals-only mode", i, err, tr != nil)
+			}
+			got[i] = finals
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.EnsembleBlocks == 0 {
+		t.Fatal("SSA runs without hooks did not take the laned path")
+	}
+	finalsBitEqual(t, "laned OnResult", ens, got)
+}
+
+// finalsBitEqual fails the test unless got holds, for every run, a finals
+// row equal bit for bit to the ensemble's.
+func finalsBitEqual(t *testing.T, label string, ens *trace.Ensemble, got map[int][]float64) {
+	t.Helper()
+	if len(got) != len(ens.Finals) {
+		t.Fatalf("%s: %d finals rows reported for %d runs", label, len(got), len(ens.Finals))
+	}
+	for i, want := range ens.Finals {
+		if want == nil || len(got[i]) != len(want) {
+			t.Fatalf("%s: run %d finals %v, ensemble %v", label, i, got[i], want)
+		}
+		for j := range want {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: run %d species %s: %v vs %v", label, i, ens.Names[j], got[i][j], want[j])
+			}
+		}
 	}
 }
 

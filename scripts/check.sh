@@ -16,6 +16,15 @@ if grep -rnE '\bRun(ODE|SSA|TauLeap)\(' internal/ cmd/ examples/ \
   exit 1
 fi
 
+# Sweeps have one executor: runPartition (internal/server/clusterapi.go)
+# turns a sweep window into point outcomes for single-node jobs, cluster
+# workers and the coordinator's local fallback alike. The job store must not
+# grow a second one. (Comments may name RunMany; a call has the paren.)
+if grep -nE 'sim\.RunMany\(|sim\.BatchConfig' internal/server/jobs.go; then
+  echo 'check.sh: internal/server/jobs.go runs sweeps itself (route them through runPartition)' >&2
+  exit 1
+fi
+
 # The batch engine, the HTTP server and the span tracer are the repo's
 # concurrency hot spots: run them twice under the race detector before
 # everything else so scheduling-order bugs surface fast. The kernel package
