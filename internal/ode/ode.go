@@ -43,14 +43,14 @@ type Options struct {
 	// step. The integrator emits only obs.Step events; run-level events
 	// (SimStart/SimEnd) are the caller's responsibility.
 	Obs obs.Observer
-	// StiffDetect makes Integrate abandon the run with ErrStiff when the
-	// error controller shows the signature of stiffness — at least
-	// stiffRejects rejections inside a stiffWindow-step window while the
-	// step size sits below span·stiffHFrac. On that return y0 holds the
-	// state at the detection point and Stats.T the time reached, so the
-	// caller can resume seamlessly with the stiff integrator. Pure
-	// detection: when the heuristic never fires the integration is
-	// unchanged.
+	// StiffDetect makes Integrate abandon the run with ErrStiff once its
+	// steps are stability-limited: Hairer & Wanner's DOPRI5 test estimates
+	// hλ (step size times the dominant eigenvalue) on every accepted step
+	// and fires after stiffSteps steps with hλ > stiffHLambda (see the
+	// constants). The detecting step is accepted in full, callback
+	// included; on that return y0 holds its state and Stats.T its time,
+	// so the caller can resume seamlessly with the stiff integrator. Pure
+	// detection: when the test never fires the integration is unchanged.
 	StiffDetect bool
 }
 
@@ -89,17 +89,19 @@ var ErrMaxSteps = errors.New("ode: step budget exhausted")
 // Stats.T carry the integration front so a stiff method can take over.
 var ErrStiff = errors.New("ode: stiffness detected")
 
-// Stiffness-detection heuristic (Options.StiffDetect): within each window
-// of stiffWindow attempted steps, stiffRejects error-control rejections
-// while h < span·stiffHFrac trigger ErrStiff. An explicit method on a stiff
-// problem settles into stability-limited stepping — h pinned far below the
-// span with the controller bouncing off the boundary — which is exactly
-// this signature; a merely hard (but non-stiff) stretch rejects a few times
-// and moves on without accumulating rejections at small h.
+// Stiffness detection (Options.StiffDetect) is the DOPRI5 test of Hairer &
+// Wanner (Solving ODEs II, §IV.2). Stages 6 and 7 are both evaluated at t+h
+// (c6 = c7 = 1), so h·‖k7 − k6‖ / ‖y₁ − y_stage6‖ estimates hλ, the step
+// size times the dominant eigenvalue of the Jacobian along the step. DP5's
+// stability region meets the negative real axis near −3.3, so an accepted
+// step with hλ > stiffHLambda had its size set by stability, not by the
+// error tolerance. stiffSteps such steps return ErrStiff; stiffReset steps
+// in a row below the boundary clear the count, so a merely hard stretch of
+// a non-stiff problem does not accumulate toward a handoff.
 const (
-	stiffWindow  = 64
-	stiffRejects = 8
-	stiffHFrac   = 1e-3
+	stiffHLambda = 3.25
+	stiffSteps   = 15
+	stiffReset   = 6
 )
 
 // ctxCheckEvery is how often (in accepted-plus-rejected steps) Integrate
@@ -196,8 +198,9 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 	f(t, y0, k[0])
 	st.Evals++
 	fsalValid := true
-	// Stiffness-detection window counters (Options.StiffDetect).
-	winSteps, winRejects := 0, 0
+	// Stiffness-test counters (Options.StiffDetect): stability-limited
+	// steps so far, and steps in a row that were not.
+	limited, unlimited := 0, 0
 
 	for t < t1 {
 		st.T = t
@@ -220,21 +223,24 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 			st.Evals++
 			fsalValid = true
 		}
-		// Stages 2..7.
+		// Stages 2..7. Stage 7's argument is the 5th-order solution (the a7
+		// row equals the b row), so it is built straight into ynew; ytmp
+		// keeps stage 6's argument for the stiffness test.
 		for s := 1; s < 7; s++ {
+			arg := ytmp
+			if s == 6 {
+				arg = ynew
+			}
 			for i := 0; i < n; i++ {
 				acc := 0.0
 				for j := 0; j < s; j++ {
 					acc += dpA[s][j] * k[j][i]
 				}
-				ytmp[i] = y0[i] + h*acc
+				arg[i] = y0[i] + h*acc
 			}
-			f(t+dpC[s]*h, ytmp, k[s])
+			f(t+dpC[s]*h, arg, k[s])
 			st.Evals++
 		}
-		// 5th-order solution is stage 7's ytmp (a7 row == b row); but the
-		// last loop iteration left ytmp holding exactly that combination.
-		copy(ynew, ytmp)
 
 		// Error norm.
 		errNorm := 0.0
@@ -257,6 +263,24 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 			if o.Obs != nil {
 				o.Obs.OnStep(obs.Step{T: t, H: h, ErrNorm: errNorm, Accepted: true})
 			}
+			hLambda := 0.0
+			if o.StiffDetect {
+				num, den := 0.0, 0.0
+				for i := 0; i < n; i++ {
+					d := k[6][i] - k[5][i]
+					num += d * d
+					d = ynew[i] - ytmp[i]
+					den += d * d
+				}
+				if den > 0 {
+					hLambda = h * math.Sqrt(num/den)
+				}
+				if hLambda > stiffHLambda {
+					limited, unlimited = limited+1, 0
+				} else if unlimited++; unlimited >= stiffReset {
+					limited = 0
+				}
+			}
 			copy(y0, ynew)
 			if o.NonNegative {
 				for i := range y0 {
@@ -265,7 +289,8 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 					}
 				}
 			}
-			// FSAL: k7 becomes next k1.
+			// FSAL: k7 becomes next k1. It is kept across a projection,
+			// which moves y by amounts within the error tolerance.
 			k[0], k[6] = k[6], k[0]
 			if cb != nil {
 				modified, stop := cb(t, y0)
@@ -277,32 +302,15 @@ func Integrate(ctx context.Context, f Func, y0 []float64, t0, t1 float64, opts O
 					return st, nil
 				}
 			}
-			if o.NonNegative {
-				// Projection may have changed the state the cached
-				// derivative was computed for; refresh lazily only when
-				// a clamp actually occurred is not tracked, so keep the
-				// FSAL derivative: projection moves y by amounts within
-				// the error tolerance.
-				_ = 0
+			if limited >= stiffSteps && t < t1 {
+				st.T = t
+				return st, fmt.Errorf("%w at t=%g (h=%g, hλ=%.3g; %d stability-limited steps)",
+					ErrStiff, t, h, hLambda, limited)
 			}
 		} else {
 			st.Rejected++
 			if o.Obs != nil {
 				o.Obs.OnStep(obs.Step{T: t, H: h, ErrNorm: errNorm, Accepted: false})
-			}
-			if o.StiffDetect && h < (t1-t0)*stiffHFrac {
-				winRejects++
-			}
-		}
-		if o.StiffDetect {
-			winSteps++
-			if winRejects >= stiffRejects {
-				st.T = t
-				return st, fmt.Errorf("%w at t=%g (h=%g, %d rejections in %d steps)",
-					ErrStiff, t, h, winRejects, winSteps)
-			}
-			if winSteps >= stiffWindow {
-				winSteps, winRejects = 0, 0
 			}
 		}
 		// PI-free elementary controller.

@@ -219,3 +219,70 @@ func TestIntegrateCanceled(t *testing.T) {
 		t.Fatalf("deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
+
+// TestStiffDetectAccuracyLimited runs a high-frequency linear oscillator at
+// a tight tolerance: every step is sized by accuracy (hλ ≈ hω well inside
+// DP5's stability region), so the stiffness test must never fire, and a
+// run with it must equal a run without it bit for bit, Stats included.
+func TestStiffDetectAccuracyLimited(t *testing.T) {
+	const omega = 1000.0
+	f := func(_ float64, y, dydt []float64) {
+		dydt[0] = omega * y[1]
+		dydt[1] = -omega * y[0]
+	}
+	run := func(detect bool) ([]float64, Stats) {
+		y := []float64{1, 0}
+		st, err := Integrate(context.Background(), f, y, 0, 1, Options{RelTol: 1e-8, AbsTol: 1e-10, StiffDetect: detect}, nil)
+		if err != nil {
+			t.Fatalf("StiffDetect=%v: %v", detect, err)
+		}
+		return y, st
+	}
+	yOff, stOff := run(false)
+	yOn, stOn := run(true)
+	if stOn != stOff {
+		t.Fatalf("Stats with detection %+v, without %+v", stOn, stOff)
+	}
+	for i := range yOff {
+		if math.Float64bits(yOn[i]) != math.Float64bits(yOff[i]) {
+			t.Fatalf("y[%d] with detection %v, without %v", i, yOn[i], yOff[i])
+		}
+	}
+	if math.Abs(yOff[0]-math.Cos(omega)) > 1e-5 {
+		t.Fatalf("y0(1) = %g, want cos(%g) = %g", yOff[0], omega, math.Cos(omega))
+	}
+}
+
+// TestStiffDetectProtheroRobinson runs the Prothero–Robinson problem
+// y' = λ(y − g) + g', g = sin t, λ = −1e4, from one unit off the smooth
+// solution. Once the e^{λt} transient has died out, accuracy would allow
+// steps of order 0.1, but DP5 stays stable only while h|λ| ≲ 3.3: every
+// step is stability-limited, and the test must hand off within a few
+// stiffSteps of accepted steps.
+func TestStiffDetectProtheroRobinson(t *testing.T) {
+	const lambda = -1e4
+	f := func(tt float64, y, dydt []float64) {
+		dydt[0] = lambda*(y[0]-math.Sin(tt)) + math.Cos(tt)
+	}
+	transient := 25 / -lambda // e^{λt} below 1e-10
+	inTransient := 0
+	cb := func(tt float64, _ []float64) (bool, bool) {
+		if tt <= transient {
+			inTransient++
+		}
+		return false, false
+	}
+	y := []float64{1}
+	st, err := Integrate(context.Background(), f, y, 0, 10, Options{StiffDetect: true}, cb)
+	if !errors.Is(err, ErrStiff) {
+		t.Fatalf("err = %v after %d accepted steps, want ErrStiff", err, st.Accepted)
+	}
+	past := st.Accepted - inTransient
+	t.Logf("ErrStiff at t=%g: %d accepted steps, %d past the transient", st.T, st.Accepted, past)
+	if past > 2*stiffSteps {
+		t.Fatalf("handoff %d accepted steps past the transient, want ≤ %d", past, 2*stiffSteps)
+	}
+	if math.Abs(y[0]-math.Sin(st.T)) > 1e-5 {
+		t.Fatalf("y(%g) = %g at the handoff, want sin(t) = %g", st.T, y[0], math.Sin(st.T))
+	}
+}

@@ -173,7 +173,7 @@ type Config struct {
 	// Solver selects the ODE integration strategy (Method == ODE only).
 	// The zero value, SolverAuto, starts with the explicit Dormand–Prince
 	// 5(4) method and hands off to the stiff Rosenbrock-W integrator when
-	// the error controller detects stiffness.
+	// the explicit steps turn stability-limited (ode.ErrStiff).
 	Solver Solver
 
 	// Unit is the system size Ω in molecules per concentration unit;
@@ -534,8 +534,8 @@ func endRunODE(t float64, steps int, o obs.Observer, sink obs.Observer,
 // runODE is the deterministic backend of Run; cfg has been normalized and
 // the network validated. The Solver knob picks the integrator: explicit
 // DP5(4), stiff Rosenbrock-W on the kernel's analytic sparse Jacobian, or —
-// the default — explicit with automatic handoff to stiff when the error
-// controller detects stiffness (ode.ErrStiff) or underflows its step size.
+// the default — explicit with automatic handoff to stiff when its steps
+// turn stability-limited (ode.ErrStiff) or its step size underflows.
 func runODE(ctx context.Context, n *crn.Network, cfg Config) (*trace.Trace, error) {
 	y := n.Init()
 	st := &State{net: n, y: y}

@@ -7,16 +7,17 @@ import (
 
 // Solver selects the ODE integration strategy of a Method == ODE run. The
 // zero value is SolverAuto: start with the explicit Dormand–Prince 5(4)
-// method and hand off to the stiff Rosenbrock-W integrator if the error
-// controller shows the stiffness signature — which is exactly the regime the
-// paper's fast ≫ slow rate dichotomy produces. Runs that never trip the
-// detector integrate identically to SolverExplicit.
+// method and hand off to the stiff Rosenbrock-W integrator once its steps
+// are stability-limited — exactly the regime the paper's fast ≫ slow rate
+// dichotomy produces. Runs that never trip the detector integrate
+// identically to SolverExplicit.
 type Solver uint8
 
 const (
 	// SolverAuto starts explicit and switches to the stiff integrator on
-	// detected stiffness (repeated error-control rejections at h ≪ span, or
-	// explicit step-size underflow).
+	// detected stiffness (Hairer & Wanner's DOPRI5 test: 15 accepted steps
+	// with hλ beyond DP5's stability boundary, see ode.Options.StiffDetect)
+	// or on explicit step-size underflow.
 	SolverAuto Solver = iota
 	// SolverExplicit forces adaptive Dormand–Prince 5(4) — the pre-solver
 	// behaviour — and fails with ode.ErrMinStep where the problem is too

@@ -111,6 +111,12 @@ go test -run=NONE -bench 'EnsembleRing|SSARingSweepPerRun' -benchtime=1x -timeou
 # Stiff-solver bench smoke: one iteration of the BENCH_PR10.json gate set
 # (explicit vs stiff vs auto on the 458-reaction ring at fast/slow = 30000).
 go test -run=NONE -bench 'ODERing' -benchtime=1x -timeout 10m .
+# Auto-solver effort gate: on the stability-limited ring and DSD delay
+# chain auto must hand off and stay within 1.25x of stiff's derivative
+# evaluations (and agree with stiff within 10x RelTol); on the
+# accuracy-limited ring it must stay bit-identical to explicit. Evaluation
+# counts are deterministic, so this gates the handoff without timing noise.
+go test -count=1 -timeout 10m -run 'TestAuto' ./internal/sim/
 # Benchmark self-test: minimal traced and untraced runs of both perfbench
 # workloads. It fails when a stiff final drifts from the movavg2 reference,
 # when auto and stiff disagree on the ring, or when the printed metric names
